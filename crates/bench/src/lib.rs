@@ -2,15 +2,11 @@
 //!
 //! Benchmark harness for the reproduction:
 //!
-//! * The `fastmm bench run|diff|list` pipeline: a catalog of named
-//!   hot-path targets ([`targets`]), warmup + timed passes with
-//!   interpolated percentiles, a versioned `fmm-bench/v1` JSONL document
-//!   with an environment manifest ([`doc`], [`manifest`]), and the
-//!   regression gate ([`diff`]).
-//! * Criterion benches (one file per experiment family) under `benches/`:
-//!   `kernels` (X3 wall-time + flop story), `lemma_engines` (F2),
-//!   `pebbling` (X2), `cache_sim` (T1 sequential rows), `cdag_build`
-//!   (F1 scaling), `parallel_sim` (T1 parallel rows).
+//! * The `fastmm bench run|diff|list` pipeline, the workspace's only
+//!   bench harness: a catalog of named hot-path targets ([`targets`]),
+//!   warmup + timed passes with exact nearest-rank percentiles, a
+//!   versioned `fmm-bench/v1` JSONL document with an environment manifest
+//!   ([`doc`], [`manifest`]), and the regression gate ([`diff`]).
 //! * The [`tables`](../src/bin/tables.rs) binary regenerates Table I and
 //!   every figure-equivalent as aligned text tables:
 //!   `cargo run -p fmm-bench --release --bin tables -- --all`.

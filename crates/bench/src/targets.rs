@@ -3,15 +3,17 @@
 //! Each target is a deterministic unit of hot-path work (fixed seeds, so
 //! its `extras` counters are exact across runs while only wall time
 //! varies). The runner times `passes` passes after `warmup` discarded
-//! ones, pulls interpolated percentiles from an [`fmm_obs::Histogram`]
-//! of per-pass nanoseconds, and assembles the [`BenchDoc`].
+//! ones, takes exact nearest-rank percentiles over the sorted per-pass
+//! nanoseconds, and assembles the [`BenchDoc`].
 
 use crate::doc::{BenchDoc, TargetResult, TargetStats};
 use crate::manifest;
-use fmm_core::{catalog, Bilinear2x2};
-use fmm_memsim::cache::Policy;
+use fmm_core::altbasis::{karstadt_schwartz, multiply_alt_counted, AlternativeBasis};
+use fmm_core::{catalog, exec, Bilinear2x2};
+use fmm_memsim::cache::{Cache, CacheStats, Policy};
+use fmm_memsim::reference::{self, Op};
+use fmm_memsim::trace::{opt_stats, Access};
 use fmm_memsim::{par, seq};
-use fmm_obs::Histogram;
 use fmm_serve::loadgen::{self, LoadgenConfig};
 use fmm_serve::server::{ServerConfig, ServerHandle};
 use std::collections::BTreeMap;
@@ -68,7 +70,7 @@ impl Profile {
 pub struct Target {
     /// Stable name, e.g. `memsim/lru/n32_m1024` — the `diff` join key.
     pub name: &'static str,
-    /// Coarse group (`memsim` / `sweep` / `par` / `serve`).
+    /// Coarse group: the name's first segment (`memsim`, `kernel`, …).
     pub group: &'static str,
     /// Relative p50 tolerance recorded into the document for `diff`.
     pub tol: f64,
@@ -102,6 +104,10 @@ fn memsim_pass(policy: &str, n: usize, m: usize) -> BTreeMap<String, String> {
         "fifo" => seq::measure_seeded(n, m, Policy::Fifo, seq::DEFAULT_WORKLOAD_SEED, run).1,
         _ => seq::measure_seeded(n, m, Policy::Lru, seq::DEFAULT_WORKLOAD_SEED, run).1,
     };
+    io_extras(&stats)
+}
+
+fn io_extras(stats: &CacheStats) -> BTreeMap<String, String> {
     extras(&[
         ("io", stats.io().to_string()),
         ("loads", stats.loads.to_string()),
@@ -120,6 +126,70 @@ fn memsim_opt_n32() -> BTreeMap<String, String> {
 }
 fn memsim_lru_n128() -> BTreeMap<String, String> {
     memsim_pass("lru", 128, 1024)
+}
+
+/// The seeded 200k-access hot/cold trace the raw cache targets replay:
+/// ~70% of accesses fall in a 700-word working set just above the
+/// 512-word capacity, the rest stream over a 5M-word cold range — the
+/// shape instrumented executions produce. Built once per process.
+fn hot_cold_trace() -> &'static [Access] {
+    static TRACE: OnceLock<Vec<Access>> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let mut x = 0x1234_5678_9abc_def0u64;
+        (0..200_000)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let addr = if x % 10 < 7 {
+                    (x >> 32) % 700
+                } else {
+                    (x >> 24) % 5_000_000
+                };
+                Access {
+                    addr,
+                    write: x.is_multiple_of(3),
+                }
+            })
+            .collect()
+    })
+}
+
+/// Raw slab-cache access throughput over the hot/cold trace, with no
+/// instrumented execution in the way.
+fn cache_pass(policy: Policy) -> BTreeMap<String, String> {
+    let mut cache = Cache::new(512, policy);
+    for a in hot_cold_trace() {
+        if a.write {
+            cache.write(a.addr);
+        } else {
+            cache.read(a.addr);
+        }
+    }
+    cache.flush();
+    io_extras(&cache.stats())
+}
+
+fn memsim_cache_lru() -> BTreeMap<String, String> {
+    cache_pass(Policy::Lru)
+}
+fn memsim_cache_fifo() -> BTreeMap<String, String> {
+    cache_pass(Policy::Fifo)
+}
+
+/// The streaming two-pass Belady OPT over the same trace.
+fn memsim_belady() -> BTreeMap<String, String> {
+    io_extras(&opt_stats(hot_cold_trace(), 512))
+}
+
+/// The O(capacity)-per-access reference model over the trace's first
+/// 20k accesses: the denominator of the slab core's speed-up.
+fn memsim_reference_lru() -> BTreeMap<String, String> {
+    let ops: Vec<Op> = hot_cold_trace()[..20_000]
+        .iter()
+        .map(|&a| Op::Access(a))
+        .collect();
+    io_extras(&reference::replay_reference(&ops, 512, Policy::Lru).0)
 }
 
 /// Predicted I/O for a kernel grid cell, from the sequential cache
@@ -165,13 +235,12 @@ fn kernel_pass(
         threads,
     };
     let c = fmm_kernel::multiply(&cfg, &a, &b);
-    let sum: f64 = c.as_slice().iter().sum();
     let leaf = match alg {
         fmm_kernel::Alg::Classical => seq::natural_tile(1024),
         fmm_kernel::Alg::Strassen => cutoff,
     };
     extras(&[
-        ("checksum", format!("{sum:.0}")),
+        ("checksum", checksum(&c)),
         ("flops", fmm_kernel::classical_flops(n).to_string()),
         ("model_io", model_io(alg, n, leaf).to_string()),
     ])
@@ -200,11 +269,44 @@ fn kernel_naive_n512() -> BTreeMap<String, String> {
     let a = crate::bench_matrix_f64(512, 1);
     let b = crate::bench_matrix_f64(512, 2);
     let c = fmm_matrix::multiply::multiply_naive(&a, &b);
-    let sum: f64 = c.as_slice().iter().sum();
     extras(&[
-        ("checksum", format!("{sum:.0}")),
+        ("checksum", checksum(&c)),
         ("flops", fmm_kernel::classical_flops(512).to_string()),
     ])
+}
+
+/// Sum of a product's entries: exact, since the seeded inputs are small
+/// integers.
+fn checksum(c: &fmm_matrix::Matrix<f64>) -> String {
+    let sum: f64 = c.as_slice().iter().sum();
+    format!("{sum:.0}")
+}
+
+/// The generic `fmm-core` recursions at n = 128 over the same seeded
+/// inputs as `kernel_pass`, so every `core/` checksum equals the
+/// `kernel/` ones.
+fn core_fast_pass(alg: &Bilinear2x2) -> BTreeMap<String, String> {
+    let a = crate::bench_matrix_f64(128, 1);
+    let b = crate::bench_matrix_f64(128, 2);
+    extras(&[("checksum", checksum(&exec::multiply_fast(alg, &a, &b, 16)))])
+}
+
+fn core_strassen() -> BTreeMap<String, String> {
+    core_fast_pass(&strassen())
+}
+fn core_winograd() -> BTreeMap<String, String> {
+    core_fast_pass(&catalog::winograd())
+}
+
+/// Karstadt–Schwartz alternative basis, recursing down to 16×16 leaves.
+/// The basis search itself runs once per process, outside the passes.
+fn core_ks_altbasis() -> BTreeMap<String, String> {
+    static KS: OnceLock<AlternativeBasis> = OnceLock::new();
+    let ks = KS.get_or_init(karstadt_schwartz);
+    let a = crate::bench_matrix_f64(128, 1);
+    let b = crate::bench_matrix_f64(128, 2);
+    let c = multiply_alt_counted(ks, &a, &b, 3).0;
+    extras(&[("checksum", checksum(&c))])
 }
 
 /// The first few smoke-spec sweep cells, end to end (cell throughput).
@@ -333,121 +435,42 @@ fn fleet_loadgen_e2e() -> BTreeMap<String, String> {
     ])
 }
 
-/// Every named target, in render order.
+/// Every named target, in render order. A target's group is its name's
+/// first path segment.
+#[rustfmt::skip] // one target per row
 pub fn all_targets() -> Vec<Target> {
+    use Profile::{Quick, Standard};
+    let t = |name: &'static str, tol, min_profile, run| Target {
+        name,
+        group: name.split('/').next().unwrap_or(name),
+        tol,
+        min_profile,
+        run,
+    };
     vec![
-        Target {
-            name: "memsim/lru/n32_m1024",
-            group: "memsim",
-            tol: 0.35,
-            min_profile: Profile::Quick,
-            run: memsim_lru_n32,
-        },
-        Target {
-            name: "memsim/fifo/n32_m1024",
-            group: "memsim",
-            tol: 0.35,
-            min_profile: Profile::Quick,
-            run: memsim_fifo_n32,
-        },
-        Target {
-            name: "memsim/opt/n32_m1024",
-            group: "memsim",
-            tol: 0.35,
-            min_profile: Profile::Quick,
-            run: memsim_opt_n32,
-        },
-        Target {
-            name: "memsim/lru/n128_m1024",
-            group: "memsim",
-            tol: 0.35,
-            min_profile: Profile::Standard,
-            run: memsim_lru_n128,
-        },
-        Target {
-            name: "kernel/classical/n128_f64",
-            group: "kernel",
-            tol: 0.35,
-            min_profile: Profile::Quick,
-            run: kernel_classical_n128,
-        },
-        Target {
-            name: "kernel/strassen/n128_c32_f64",
-            group: "kernel",
-            tol: 0.35,
-            min_profile: Profile::Quick,
-            run: kernel_strassen_n128,
-        },
-        Target {
-            name: "kernel/naive/n512_f64",
-            group: "kernel",
-            tol: 0.35,
-            min_profile: Profile::Standard,
-            run: kernel_naive_n512,
-        },
-        Target {
-            name: "kernel/classical/n512_f64",
-            group: "kernel",
-            tol: 0.35,
-            min_profile: Profile::Standard,
-            run: kernel_classical_n512,
-        },
-        Target {
-            name: "kernel/strassen/n512_c64_f64",
-            group: "kernel",
-            tol: 0.35,
-            min_profile: Profile::Standard,
-            run: kernel_strassen_n512,
-        },
-        Target {
-            name: "kernel/strassen_mt/n512_c64_t2_f64",
-            group: "kernel",
-            tol: 0.50,
-            min_profile: Profile::Standard,
-            run: kernel_strassen_mt_n512,
-        },
-        Target {
-            name: "sweep/smoke_cells",
-            group: "sweep",
-            tol: 0.40,
-            min_profile: Profile::Quick,
-            run: sweep_smoke_cells,
-        },
-        Target {
-            name: "par/cannon/n16_p4",
-            group: "par",
-            tol: 0.40,
-            min_profile: Profile::Quick,
-            run: par_cannon,
-        },
-        Target {
-            name: "par/3d/n16_p2",
-            group: "par",
-            tol: 0.40,
-            min_profile: Profile::Quick,
-            run: par_3d,
-        },
-        Target {
-            name: "par/caps/n16_l1",
-            group: "par",
-            tol: 0.40,
-            min_profile: Profile::Quick,
-            run: par_caps,
-        },
-        Target {
-            name: "serve/loadgen_e2e",
-            group: "serve",
-            tol: 0.60,
-            min_profile: Profile::Quick,
-            run: serve_loadgen_e2e,
-        },
-        Target {
-            name: "fleet/loadgen_e2e",
-            group: "fleet",
-            tol: 0.60,
-            min_profile: Profile::Quick,
-            run: fleet_loadgen_e2e,
-        },
+        t("memsim/lru/n32_m1024", 0.35, Quick, memsim_lru_n32),
+        t("memsim/fifo/n32_m1024", 0.35, Quick, memsim_fifo_n32),
+        t("memsim/opt/n32_m1024", 0.35, Quick, memsim_opt_n32),
+        t("memsim/lru/n128_m1024", 0.35, Standard, memsim_lru_n128),
+        t("memsim/cache/lru_t200k_c512", 0.35, Quick, memsim_cache_lru),
+        t("memsim/cache/fifo_t200k_c512", 0.35, Quick, memsim_cache_fifo),
+        t("memsim/belady/t200k_c512", 0.35, Quick, memsim_belady),
+        t("memsim/reference/lru_t20k_c512", 0.35, Quick, memsim_reference_lru),
+        t("kernel/classical/n128_f64", 0.35, Quick, kernel_classical_n128),
+        t("kernel/strassen/n128_c32_f64", 0.35, Quick, kernel_strassen_n128),
+        t("kernel/naive/n512_f64", 0.35, Standard, kernel_naive_n512),
+        t("kernel/classical/n512_f64", 0.35, Standard, kernel_classical_n512),
+        t("kernel/strassen/n512_c64_f64", 0.35, Standard, kernel_strassen_n512),
+        t("kernel/strassen_mt/n512_c64_t2_f64", 0.50, Standard, kernel_strassen_mt_n512),
+        t("core/strassen/n128_c16", 0.35, Quick, core_strassen),
+        t("core/winograd/n128_c16", 0.35, Quick, core_winograd),
+        t("core/ks_altbasis/n128", 0.35, Quick, core_ks_altbasis),
+        t("sweep/smoke_cells", 0.40, Quick, sweep_smoke_cells),
+        t("par/cannon/n16_p4", 0.40, Quick, par_cannon),
+        t("par/3d/n16_p2", 0.40, Quick, par_3d),
+        t("par/caps/n16_l1", 0.40, Quick, par_caps),
+        t("serve/loadgen_e2e", 0.60, Quick, serve_loadgen_e2e),
+        t("fleet/loadgen_e2e", 0.60, Quick, fleet_loadgen_e2e),
     ]
 }
 
@@ -468,6 +491,26 @@ impl Default for RunOptions {
             filter: None,
             inject_slow: None,
         }
+    }
+}
+
+/// Exact order statistics of the timed passes: nearest-rank p50/p95/p99
+/// (the smallest sample with at least p% of the samples at or below it)
+/// plus min and max.
+fn pass_stats(warmup: u64, mut samples: Vec<u64>) -> TargetStats {
+    samples.sort_unstable();
+    let rank = |p: usize| {
+        let r = (samples.len() * p).div_ceil(100).max(1);
+        samples.get(r - 1).copied().unwrap_or(0)
+    };
+    TargetStats {
+        warmup,
+        passes: samples.len() as u64,
+        p50_ns: rank(50),
+        p95_ns: rank(95),
+        p99_ns: rank(99),
+        min_ns: samples.first().copied().unwrap_or(0),
+        max_ns: samples.last().copied().unwrap_or(0),
     }
 }
 
@@ -492,7 +535,7 @@ pub fn run_targets(opts: &RunOptions) -> BenchDoc {
         for _ in 0..warmup {
             (t.run)();
         }
-        let mut hist = Histogram::default();
+        let mut samples = Vec::new();
         let mut extras = BTreeMap::new();
         for _ in 0..passes {
             let start = Instant::now();
@@ -500,21 +543,13 @@ pub fn run_targets(opts: &RunOptions) -> BenchDoc {
             if slow {
                 std::thread::sleep(Duration::from_millis(25));
             }
-            hist.observe(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            samples.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         targets.push(TargetResult {
             name: t.name.to_string(),
             group: t.group.to_string(),
             tol: t.tol,
-            stats: TargetStats {
-                warmup,
-                passes,
-                p50_ns: hist.p50(),
-                p95_ns: hist.p95(),
-                p99_ns: hist.p99(),
-                min_ns: hist.min,
-                max_ns: hist.max,
-            },
+            stats: pass_stats(warmup, samples),
             extras,
         });
     }
@@ -573,36 +608,70 @@ mod tests {
 
     #[test]
     fn kernel_quick_targets_have_exact_repeatable_extras() {
-        let run = || {
-            run_targets(&RunOptions {
-                filter: Some("kernel/".into()),
-                ..RunOptions::default()
-            })
-        };
-        let (first, second) = (run(), run());
-        assert_eq!(first.targets.len(), 2, "two kernel targets in quick");
-        for (a, b) in first.targets.iter().zip(&second.targets) {
-            assert_eq!(a.extras, b.extras, "{} extras drifted", a.name);
-            assert!(a.extras["model_io"].parse::<u64>().unwrap() > 0);
-            assert!(a.extras["checksum"].parse::<i64>().is_ok());
+        // (filter, quick targets it selects, an extra every one carries)
+        let cases = [
+            ("kernel/", 2, "model_io"),
+            ("memsim/cache/", 2, "io"),
+            ("memsim/belady/", 1, "io"),
+            ("memsim/reference/", 1, "io"),
+            ("core/", 3, "checksum"),
+        ];
+        let mut docs = BTreeMap::new();
+        for (filter, count, key) in cases {
+            let run = || {
+                run_targets(&RunOptions {
+                    filter: Some(filter.into()),
+                    ..RunOptions::default()
+                })
+            };
+            let (first, second) = (run(), run());
+            assert_eq!(first.targets.len(), count, "{filter} targets in quick");
+            for (a, b) in first.targets.iter().zip(&second.targets) {
+                assert_eq!(a.extras, b.extras, "{} extras drifted", a.name);
+                assert!(a.extras[key].parse::<i64>().unwrap() > 0, "{}", a.name);
+            }
+            docs.extend(first.targets.into_iter().map(|t| (t.name, t.extras)));
         }
+        let extra = |name: &str, key: &str| -> u64 { docs[name][key].parse().unwrap() };
         // At n=128 with M=1024 the simulator charges Strassen *more*
         // I/O than blocked classical: the recursion's temporaries all
         // spill, and the asymptotic n^{log2 7} advantage hasn't kicked
         // in yet at this order. §X16 reports the same inversion.
-        let io = |doc: &crate::doc::BenchDoc, name: &str| -> u64 {
-            doc.targets
-                .iter()
-                .find(|t| t.name == name)
-                .unwrap()
-                .extras["model_io"]
-                .parse()
-                .unwrap()
-        };
         assert!(
-            io(&first, "kernel/strassen/n128_c32_f64") > io(&first, "kernel/classical/n128_f64"),
+            extra("kernel/strassen/n128_c32_f64", "model_io")
+                > extra("kernel/classical/n128_f64", "model_io"),
             "strassen's temporaries should out-spill blocked classical at n=128"
         );
+        // Every n=128 path multiplies the same seeded inputs exactly.
+        for name in [
+            "core/strassen/n128_c16",
+            "core/winograd/n128_c16",
+            "core/ks_altbasis/n128",
+        ] {
+            assert_eq!(
+                docs[name]["checksum"],
+                docs["kernel/classical/n128_f64"]["checksum"]
+            );
+        }
+        // Offline OPT floors both online policies on the same trace.
+        let opt = extra("memsim/belady/t200k_c512", "io");
+        assert!(opt <= extra("memsim/cache/lru_t200k_c512", "io"));
+        assert!(opt <= extra("memsim/cache/fifo_t200k_c512", "io"));
+    }
+
+    #[test]
+    fn pass_percentiles_are_exact_nearest_rank() {
+        let ms = |v: [u64; 5]| v.map(|x| x * 1_000_000).to_vec();
+        let low = pass_stats(1, ms([20, 17, 33, 19, 18]));
+        let high = pass_stats(1, ms([33, 31, 17, 30, 32]));
+        assert_eq!(low.p50_ns, 19_000_000);
+        assert_eq!(high.p50_ns, 31_000_000);
+        assert_eq!((low.min_ns, low.max_ns), (17_000_000, 33_000_000));
+        assert_eq!((low.p95_ns, low.p99_ns), (33_000_000, 33_000_000));
+        assert_eq!(low.passes, 5);
+        let twenty: Vec<u64> = (1..=20).collect();
+        let s = pass_stats(0, twenty);
+        assert_eq!((s.p50_ns, s.p95_ns, s.p99_ns), (10, 19, 20));
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::spec::{AlgKind, Cell, PolicyKind, RunMode};
 use fmm_cdag::RecursiveCdag;
 use fmm_core::altbasis::karstadt_schwartz;
 use fmm_core::{bounds, catalog, Bilinear2x2};
+use fmm_faults::splitmix64;
 use fmm_matrix::Matrix;
 use fmm_memsim::cache::Policy;
 use fmm_memsim::{par, seq};
@@ -39,15 +40,6 @@ pub struct Measurement {
     pub bound: f64,
     /// `measured / bound` — the quantity whose min/max the report tracks.
     pub ratio: f64,
-}
-
-/// splitmix64 — the standard 64-bit mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministic workload seed for a cell: mixes the root seed with the
@@ -197,6 +189,11 @@ mod tests {
         assert_eq!(cell_seed(7, &c0), cell_seed(7, &c0));
         assert_ne!(cell_seed(7, &c0), cell_seed(7, &c1));
         assert_ne!(cell_seed(7, &c0), cell_seed(8, &c0));
+        // Pinned values: checkpoints resume only if seeds never change.
+        let mut c2 = c1.clone();
+        c2.rep = 2;
+        assert_eq!(cell_seed(7, &c1), 0x7716_da39_cba2_75b2);
+        assert_eq!(cell_seed(7, &c2), 0xc571_292e_d2b6_a8c7);
     }
 
     #[test]

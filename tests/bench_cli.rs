@@ -255,6 +255,8 @@ fn bench_list_names_every_catalog_target() {
     for name in [
         "memsim/lru/n32_m1024",
         "memsim/opt/n32_m1024",
+        "memsim/belady/t200k_c512",
+        "core/ks_altbasis/n128",
         "sweep/smoke_cells",
         "par/cannon/n16_p4",
         "serve/loadgen_e2e",
