@@ -9,7 +9,7 @@
 //! measured rather than assumed.
 
 use crate::bilinear::Bilinear2x2;
-use fmm_matrix::multiply::multiply_ikj;
+use fmm_matrix::multiply::multiply_naive;
 use fmm_matrix::quad::{crop, join_quadrants, pad_pow2, split_quadrants};
 use fmm_matrix::{Matrix, Scalar};
 
@@ -105,7 +105,7 @@ fn multiply_rec<T: Scalar>(
             fmm_obs::add("core.exec.base_mults", &labels, mults);
             fmm_obs::add("core.exec.base_adds", &labels, adds);
         }
-        return multiply_ikj(a, b);
+        return multiply_naive(a, b);
     }
     let aq = split_quadrants(a);
     let bq = split_quadrants(b);
@@ -229,7 +229,7 @@ pub fn multiply_fast_parallel<T: Scalar>(
     let n = a.rows();
     let cutoff = cutoff.max(1);
     if n <= cutoff || n == 1 {
-        return multiply_ikj(a, b);
+        return multiply_naive(a, b);
     }
     let mut counts = OpCounts::default();
     let aq = split_quadrants(a).to_vec();

@@ -335,7 +335,7 @@ fn block<T: Scalar>(m: &Matrix<T>, bi: usize, bj: usize, br: usize, bc: usize) -
 
 fn rec<T: Scalar>(alg: &BilinearRect, a: &Matrix<T>, b: &Matrix<T>, depth: usize) -> Matrix<T> {
     if depth == 0 {
-        return fmm_matrix::multiply::multiply_ikj(a, b);
+        return fmm_matrix::multiply::multiply_naive(a, b);
     }
     let (br_a, bc_a) = (a.rows() / alg.m, a.cols() / alg.k);
     let (br_b, bc_b) = (b.rows() / alg.k, b.cols() / alg.n);

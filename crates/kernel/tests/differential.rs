@@ -43,7 +43,9 @@ fn to_f64(m: &Matrix<i64>) -> Matrix<f64> {
 }
 
 fn to_rational(m: &Matrix<i64>) -> Matrix<Rational> {
-    Matrix::from_fn(m.rows(), m.cols(), |i, j| Rational::new(m[(i, j)] as i128, 1))
+    Matrix::from_fn(m.rows(), m.cols(), |i, j| {
+        Rational::new(m[(i, j)] as i128, 1)
+    })
 }
 
 proptest! {

@@ -14,16 +14,14 @@
 //! * a row-major dense [`Matrix`] with quadrant [views](view), padding and
 //!   splitting/joining helpers matched to the 2×2 recursion the paper
 //!   studies;
-//! * classical multiplication kernels (naive and loop-reordered) that
-//!   serve both as the correctness oracle and as the classical baseline of
-//!   Table I.
+//! * the naive classical multiply, which serves both as the correctness
+//!   oracle and as the classical baseline of Table I.
 //!
 //! Nothing in this crate knows about fast (Strassen-like) algorithms; those
 //! live in `fmm-core` and are expressed against this substrate.
 
 pub mod dense;
 pub mod multiply;
-pub mod operators;
 pub mod ops;
 pub mod quad;
 pub mod rational;

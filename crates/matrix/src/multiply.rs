@@ -1,13 +1,9 @@
-//! Classical (cubic) multiplication kernels.
+//! Classical (cubic) multiplication: the reference oracle.
 //!
-//! These are the Table I baseline (`Ω((n/√M)³·M/P)` row) and the correctness
-//! oracle against which every fast algorithm in `fmm-core` is checked. Two
-//! kernels with identical results:
-//!
-//! * [`multiply_naive`] — textbook i-j-k triple loop, the reference oracle;
-//! * [`multiply_ikj`] — loop-reordered for streaming row access; it backs
-//!   the `Mul` operator and the recursion leaves of `fmm_core::exec` and
-//!   `fmm_core::rectangular`.
+//! [`multiply_naive`] is the Table I baseline (`Ω((n/√M)³·M/P)` row), the
+//! correctness oracle against which every fast algorithm in `fmm-core` is
+//! checked, and the recursion leaf of `fmm_core::exec` and
+//! `fmm_core::rectangular`.
 //!
 //! The fast classical multiply (packed panels, micro-kernel, threads) is
 //! `fmm_kernel::classical_tiled{,_mt}`.
@@ -42,31 +38,9 @@ pub fn multiply_naive<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     c
 }
 
-/// i-k-j ordered multiplication: both inner accesses stream along rows.
-pub fn multiply_ikj<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c: Matrix<T> = Matrix::zeros(m, n);
-    for i in 0..m {
-        for l in 0..k {
-            let av = a[(i, l)];
-            if av.is_zero() {
-                continue;
-            }
-            let brow = b.row(l);
-            let crow = &mut c.as_mut_slice()[i * n..(i + 1) * n];
-            for (cj, &bj) in crow.iter_mut().zip(brow) {
-                *cj += av * bj;
-            }
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zp::Zp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -76,7 +50,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[5i64, 6], &[7, 8]]);
         let expect = Matrix::from_rows(&[&[19i64, 22], &[43, 50]]);
         assert_eq!(multiply_naive(&a, &b), expect);
-        assert_eq!(multiply_ikj(&a, &b), expect);
     }
 
     #[test]
@@ -95,26 +68,6 @@ mod tests {
         let b = Matrix::<i64>::random_small(5, 2, &mut rng);
         let c = multiply_naive(&a, &b);
         assert_eq!((c.rows(), c.cols()), (3, 2));
-        assert_eq!(multiply_ikj(&a, &b), c);
-    }
-
-    #[test]
-    fn all_kernels_agree_random() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for n in [1usize, 2, 3, 7, 16, 33] {
-            let a = Matrix::<i64>::random_small(n, n, &mut rng);
-            let b = Matrix::<i64>::random_small(n, n, &mut rng);
-            let c = multiply_naive(&a, &b);
-            assert_eq!(multiply_ikj(&a, &b), c, "ikj n={n}");
-        }
-    }
-
-    #[test]
-    fn zp_field_multiplication() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let a = Matrix::<Zp>::random_small(8, 8, &mut rng);
-        let b = Matrix::<Zp>::random_small(8, 8, &mut rng);
-        assert_eq!(multiply_naive(&a, &b), multiply_ikj(&a, &b));
     }
 
     #[test]

@@ -326,6 +326,45 @@ struct Counters {
     retry_spent: AtomicU64,
 }
 
+impl Counters {
+    /// Spend one retry-budget token (a hedge or a re-dispatch). The
+    /// budget is `pct`% of accepted jobs plus a small floor (so a cold
+    /// fleet can still recover its very first jobs); `pct = 0` means no
+    /// tokens, ever. A refused take counts `retry_budget_exhausted`.
+    fn take_retry_token(&self, pct: u32) -> bool {
+        let allowed = if pct == 0 {
+            0
+        } else {
+            self.accepted
+                .load(Ordering::SeqCst)
+                .saturating_mul(pct as u64)
+                / 100
+                + 4
+        };
+        let took = self
+            .retry_spent
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |spent| {
+                (spent < allowed).then_some(spent + 1)
+            })
+            .is_ok();
+        if !took {
+            bump(
+                &self.retry_budget_exhausted,
+                "router_retry_budget_exhausted",
+            );
+        }
+        took
+    }
+
+    /// Refund a token taken for a hedge that never made it onto the
+    /// wire (write failure): it bought nothing, it costs nothing.
+    fn refund_retry_token(&self) {
+        let _ = self
+            .retry_spent
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| s.checked_sub(1));
+    }
+}
+
 fn bump(which: &AtomicU64, obs_name: &str) {
     which.fetch_add(1, Ordering::SeqCst);
     fmm_obs::add(obs_name, &[], 1);
@@ -472,10 +511,7 @@ impl FleetSnapshot {
         m.insert("hedges_launched".into(), self.hedges_launched.to_string());
         m.insert("hedges_won".into(), self.hedges_won.to_string());
         m.insert("hedges_lost".into(), self.hedges_lost.to_string());
-        m.insert(
-            "hedges_cancelled".into(),
-            self.hedges_cancelled.to_string(),
-        );
+        m.insert("hedges_cancelled".into(), self.hedges_cancelled.to_string());
         m.insert(
             "retry_budget_exhausted".into(),
             self.retry_budget_exhausted.to_string(),
@@ -609,45 +645,6 @@ impl SharedRouter {
                 .count(),
             shard_acks: self.shard_acks.lock().unwrap().clone(),
         }
-    }
-
-    /// Spend one retry-budget token (a hedge or a re-dispatch). The
-    /// budget is `retry_budget_pct`% of accepted jobs plus a small
-    /// floor (so a cold fleet can still recover its very first jobs);
-    /// `retry_budget_pct = 0` means no tokens, ever.
-    fn take_retry_token(&self) -> bool {
-        let pct = self.cfg.retry_budget_pct as u64;
-        let allowed = if pct == 0 {
-            0
-        } else {
-            (self.counters.accepted.load(Ordering::SeqCst))
-                .saturating_mul(pct)
-                / 100
-                + 4
-        };
-        let took = self
-            .counters
-            .retry_spent
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |spent| {
-                (spent < allowed).then_some(spent + 1)
-            })
-            .is_ok();
-        if !took {
-            bump(
-                &self.counters.retry_budget_exhausted,
-                "router_retry_budget_exhausted",
-            );
-        }
-        took
-    }
-
-    /// Refund a token taken for a hedge that never made it onto the
-    /// wire (write failure): it bought nothing, it costs nothing.
-    fn refund_retry_token(&self) {
-        let _ = self
-            .counters
-            .retry_spent
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| s.checked_sub(1));
     }
 
     /// Remember a settled key (bounded), optionally with its terminal
@@ -961,7 +958,10 @@ fn dispatch(shared: &Arc<SharedRouter>, job: &SharedJob) {
             refuse(shared, job, None);
             return;
         }
-        if !shared.take_retry_token() {
+        if !shared
+            .counters
+            .take_retry_token(shared.cfg.retry_budget_pct)
+        {
             let shed = Response::new("", Status::Shed).with_reason("retry-budget-exhausted");
             refuse(shared, job, Some(shed));
             return;
@@ -1001,7 +1001,10 @@ fn redispatch(shared: &Arc<SharedRouter>, job: &SharedJob, last: Option<Response
     }
     // Re-dispatches spend the same budget hedges do: a brown-out that
     // sheds jobs back en masse must not amplify into a retry storm.
-    if !shared.take_retry_token() {
+    if !shared
+        .counters
+        .take_retry_token(shared.cfg.retry_budget_pct)
+    {
         let shed = Response::new("", Status::Shed).with_reason("retry-budget-exhausted");
         refuse(shared, job, Some(shed));
         return;
@@ -1066,10 +1069,7 @@ fn settle(shared: &Arc<SharedRouter>, job: &SharedJob, mut resp: Response, via_e
                             name: hedge_span_name(st.kind),
                             total_ns: ns,
                             self_ns: ns,
-                            fields: vec![
-                                ("shard", st.hedge_shard as u64),
-                                ("won", won as u64),
-                            ],
+                            fields: vec![("shard", st.hedge_shard as u64), ("won", won as u64)],
                         });
                     }
                 }
@@ -1273,10 +1273,7 @@ fn hedger(shared: &Arc<SharedRouter>) {
         for job in jobs {
             let due = {
                 let st = job.lock().unwrap();
-                if st.settled
-                    || st.hedge_env.is_some()
-                    || st.hedge_denied
-                    || st.shard == usize::MAX
+                if st.settled || st.hedge_env.is_some() || st.hedge_denied || st.shard == usize::MAX
                 {
                     continue;
                 }
@@ -1306,13 +1303,16 @@ fn launch_hedge(shared: &Arc<SharedRouter>, job: &SharedJob) {
             return;
         };
         drop(st);
-        if !shared.take_retry_token() {
+        if !shared
+            .counters
+            .take_retry_token(shared.cfg.retry_budget_pct)
+        {
             job.lock().unwrap().hedge_denied = true;
             return;
         }
         let mut st = job.lock().unwrap();
         if st.settled || st.hedge_env.is_some() {
-            shared.refund_retry_token();
+            shared.counters.refund_retry_token();
             return;
         }
         let env = shared.env_seq.fetch_add(1, Ordering::SeqCst);
@@ -1362,7 +1362,7 @@ fn launch_hedge(shared: &Arc<SharedRouter>, job: &SharedJob) {
             st.envelopes.remove(pos);
         }
         drop(st);
-        shared.refund_retry_token();
+        shared.counters.refund_retry_token();
         on_shard_down(shared, idx);
         return;
     }
@@ -2394,9 +2394,10 @@ fn drain_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
 fn stall_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
     let Some(chaos) = &shared.chaos else {
         bump(&shared.counters.rejected, "router_rejected");
-        reply.send(&Response::new(&req.id, Status::Error).with_reason(
-            "rejected: stall-shard requires a fleet started with --chaos-link",
-        ));
+        reply.send(
+            &Response::new(&req.id, Status::Error)
+                .with_reason("rejected: stall-shard requires a fleet started with --chaos-link"),
+        );
         return;
     };
     let seed = req
@@ -2486,4 +2487,41 @@ fn kill_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
     let mut m = BTreeMap::new();
     m.insert("victim".into(), victim.to_string());
     reply.send(&Response::new(&req.id, Status::Ok).with_result(m));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_budget_is_pct_of_accepted_plus_a_floor_then_exhausts() {
+        let c = Counters::default();
+        c.accepted.store(40, Ordering::SeqCst);
+        // 40 · 10% + 4 = 8 tokens; every further take is refused and counted.
+        for _ in 0..8 {
+            assert!(c.take_retry_token(10));
+        }
+        assert!(!c.take_retry_token(10));
+        assert!(!c.take_retry_token(10));
+        assert_eq!(c.retry_spent.load(Ordering::SeqCst), 8);
+        assert_eq!(c.retry_budget_exhausted.load(Ordering::SeqCst), 2);
+        // A refund frees exactly one token.
+        c.refund_retry_token();
+        assert!(c.take_retry_token(10));
+        assert!(!c.take_retry_token(10));
+        // Admissions grow the budget: 50 · 10% + 4 = 9.
+        c.accepted.store(50, Ordering::SeqCst);
+        assert!(c.take_retry_token(10));
+        assert!(!c.take_retry_token(10));
+        assert_eq!(c.retry_budget_exhausted.load(Ordering::SeqCst), 4);
+        // At 100% every accepted job may be retried once, plus the floor.
+        let full = Counters::default();
+        full.accepted.store(3, Ordering::SeqCst);
+        assert_eq!((0..10).filter(|_| full.take_retry_token(100)).count(), 7);
+        // 0% never grants a token, however many jobs were accepted.
+        let off = Counters::default();
+        off.accepted.store(1_000, Ordering::SeqCst);
+        assert!(!off.take_retry_token(0));
+        assert_eq!(off.retry_budget_exhausted.load(Ordering::SeqCst), 1);
+    }
 }

@@ -387,8 +387,7 @@ impl JobSpec {
                     let b = Matrix::<i64>::random_small(*n, *n, &mut rng);
                     let c = fmm_kernel::multiply(&cfg, &a, &b);
                     let sum: i64 = c.as_slice().iter().sum();
-                    let matches =
-                        check.then(|| c == fmm_matrix::multiply::multiply_naive(&a, &b));
+                    let matches = check.then(|| c == fmm_matrix::multiply::multiply_naive(&a, &b));
                     (sum.to_string(), matches)
                 } else {
                     let mut rng = StdRng::seed_from_u64(*seed);
@@ -398,8 +397,7 @@ impl JobSpec {
                     let sum: f64 = c.as_slice().iter().sum();
                     // Small-integer entries: every partial sum is exactly
                     // representable, so this is deterministic.
-                    let matches =
-                        check.then(|| c == fmm_matrix::multiply::multiply_naive(&a, &b));
+                    let matches = check.then(|| c == fmm_matrix::multiply::multiply_naive(&a, &b));
                     (format!("{sum:.0}"), matches)
                 };
                 let wall_us = started.elapsed().as_micros();

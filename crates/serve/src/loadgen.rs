@@ -9,8 +9,14 @@
 //! The optional **burst phase** makes shedding deterministic: `pause`
 //! holds the workers, a blast of B cheap jobs then admits exactly
 //! `queue_depth` and sheds `B - queue_depth` regardless of scheduling,
-//! and `resume` lets the admitted backlog drain. For a fixed seed and
-//! server config the whole run's shed count is reproducible.
+//! and `resume` lets the admitted backlog drain. Against a single server
+//! the whole run's shed count is then reproducible for a fixed seed and
+//! config. Against a fleet it is reproducible only while the router's
+//! retry budget never runs out: a re-dispatch or hedge refused for lack
+//! of a token is shed (`retry-budget-exhausted`), and how many
+//! re-dispatches a shard kill costs depends on how many attempts reach
+//! the dead shard before it is marked down. Same-seed fleet comparisons
+//! therefore run with `--retry-budget-pct 100`.
 
 use crate::proto::{Kind, Request, Response, Status};
 use std::collections::BTreeMap;
@@ -160,6 +166,9 @@ pub struct Summary {
 /// the same-seed reproducibility contract (and from the JSON line).
 /// `resent`, `hedged`, `ejected_observed`, `retry_budget_exhausted`, and
 /// `latency` are likewise timing-dependent and excluded from equality.
+/// `shed`, `completed` and the server counters are compared, so two
+/// same-seed fleet runs are equal only if neither ran out of retry
+/// budget (see the module docs).
 /// The three gray-failure counters do appear in the JSON line (operators
 /// want them even when two same-seed runs disagree on the exact counts;
 /// same-seed diffs must strip them first), while `resent` and the

@@ -975,7 +975,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             } else {
                 seq::DEFAULT_WORKLOAD_SEED
             };
-            // Undocumented test hook (CI's fault-smoke job): make cell
+            // Undocumented test hook (the `cli_failures` sweep test): make cell
             // IDX sleep MS milliseconds, so a timeout can be provoked on
             // purpose. Grammar: --inject-hang IDX:MS
             let inject_hang = flags.get("inject-hang").map(|v| {

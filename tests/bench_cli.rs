@@ -12,29 +12,10 @@
 //! FMM_BLESS=1 cargo test --test bench_cli
 //! ```
 
+mod common;
+
+use common::{fastmm, scratch, stderr, stdout};
 use std::path::PathBuf;
-use std::process::{Command, Output};
-
-fn fastmm(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fastmm"))
-        .args(args)
-        .output()
-        .expect("spawn fastmm")
-}
-
-fn stdout(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-fn stderr(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-fn scratch(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("fastmm_bench_{}_{name}", std::process::id()));
-    p
-}
 
 /// A token is a duration iff it starts with a digit, ends with one of
 /// the `format_ns` suffixes, and is otherwise digits and dots —

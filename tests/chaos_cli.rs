@@ -16,31 +16,15 @@
 //!   5. the whole sequence rerun under the same seed reproduces the
 //!      client-observed loadgen summary byte for byte.
 
+mod common;
+
+use common::{fastmm, fastmm_cmd, read_banner, stderr, stdout, stdout_field, summary_counter};
 use fastmm::serve::proto::{Kind, Request, Response, Status};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
-
-fn fastmm_cmd() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_fastmm"))
-}
-
-fn read_banner(child: &mut Child) -> String {
-    let mut first = String::new();
-    BufReader::new(child.stdout.as_mut().expect("stdout piped"))
-        .read_line(&mut first)
-        .expect("read listening line");
-    first
-        .trim()
-        .strip_prefix("fastmm fleet listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {first:?}"))
-        .split(" (")
-        .next()
-        .unwrap()
-        .to_string()
-}
 
 fn spawn_fleet(journal: &str) -> (Child, String) {
     let mut child = fastmm_cmd()
@@ -159,26 +143,23 @@ fn crash_loop_shard_one(addr: &str) {
 }
 
 fn chaos_loadgen(addr: &str) -> std::process::Output {
-    fastmm_cmd()
-        .args([
-            "loadgen",
-            "--fleet",
-            "--addr",
-            addr,
-            "--conns",
-            "6",
-            "--requests",
-            "80",
-            "--seed",
-            "7",
-            "--reconnect",
-            "12",
-            "--kill-router-after",
-            "120",
-            "--shutdown",
-        ])
-        .output()
-        .expect("run fastmm loadgen --fleet")
+    fastmm(&[
+        "loadgen",
+        "--fleet",
+        "--addr",
+        addr,
+        "--conns",
+        "6",
+        "--requests",
+        "80",
+        "--seed",
+        "7",
+        "--reconnect",
+        "12",
+        "--kill-router-after",
+        "120",
+        "--shutdown",
+    ])
 }
 
 /// One full kill-heal-quarantine-kill-resume pass; returns the
@@ -202,12 +183,12 @@ fn one_chaos_pass(dir: &std::path::Path, tag: &str) -> String {
     let mut resumed = spawn_resume(&journal, &addr);
 
     let load = load.join().expect("loadgen thread");
-    let summary = String::from_utf8_lossy(&load.stdout).trim().to_string();
+    let summary = stdout(&load).trim().to_string();
     assert_eq!(
         load.status.code(),
         Some(0),
         "chaos loadgen failed\nstdout: {summary}\nstderr: {}",
-        String::from_utf8_lossy(&load.stderr)
+        stderr(&load)
     );
     assert!(summary.contains("\"sent\":480"), "{summary}");
     assert!(summary.contains("\"lost\":0"), "{summary}");
@@ -227,18 +208,7 @@ fn one_chaos_pass(dir: &std::path::Path, tag: &str) -> String {
     std::io::Read::read_to_string(&mut resumed.stdout.take().expect("stdout piped"), &mut rest)
         .expect("read drained lines");
     assert!(rest.contains("fastmm fleet drained: accepted="), "{rest}");
-    let field = |key: &str| -> u64 {
-        let tag = format!("{key}=");
-        let at = rest
-            .find(&tag)
-            .unwrap_or_else(|| panic!("no {key} in {rest}"));
-        rest[at + tag.len()..]
-            .split_whitespace()
-            .next()
-            .unwrap()
-            .parse()
-            .expect("counter parses")
-    };
+    let field = |key: &str| stdout_field(&rest, key);
     assert_eq!(
         field("accepted"),
         field("completed") + field("errored") + field("cancelled") + field("deadline_exceeded"),
@@ -251,18 +221,7 @@ fn one_chaos_pass(dir: &std::path::Path, tag: &str) -> String {
 
     // Conservation straight off the wire too: the shutdown ack embedded
     // in the summary carries the resumed router's final core counters.
-    let counter = |key: &str| -> u64 {
-        let tag = format!("\"{key}\":\"");
-        let at = summary
-            .find(&tag)
-            .unwrap_or_else(|| panic!("no {key} in {summary}"));
-        summary[at + tag.len()..]
-            .split('"')
-            .next()
-            .unwrap()
-            .parse()
-            .expect("counter parses")
-    };
+    let counter = |key: &str| summary_counter(&summary, key);
     assert_eq!(
         counter("accepted"),
         counter("completed")
@@ -300,49 +259,40 @@ fn crash_loop_and_router_kill_survive_with_zero_loss_and_reproduce() {
 #[test]
 fn loadgen_rejects_inconsistent_chaos_flags_with_exit_2() {
     // --kill-router-after without --fleet.
-    let out = fastmm_cmd()
-        .args([
-            "loadgen",
-            "--addr",
-            "127.0.0.1:1",
-            "--kill-router-after",
-            "5",
-            "--reconnect",
-            "2",
-        ])
-        .output()
-        .expect("run loadgen");
+    let out = fastmm(&[
+        "loadgen",
+        "--addr",
+        "127.0.0.1:1",
+        "--kill-router-after",
+        "5",
+        "--reconnect",
+        "2",
+    ]);
     assert_eq!(out.status.code(), Some(2), "needs --fleet");
 
     // --kill-router-after without a reconnect budget can only lose.
-    let out = fastmm_cmd()
-        .args([
-            "loadgen",
-            "--fleet",
-            "--addr",
-            "127.0.0.1:1",
-            "--kill-router-after",
-            "5",
-        ])
-        .output()
-        .expect("run loadgen");
+    let out = fastmm(&[
+        "loadgen",
+        "--fleet",
+        "--addr",
+        "127.0.0.1:1",
+        "--kill-router-after",
+        "5",
+    ]);
     assert_eq!(out.status.code(), Some(2), "needs --reconnect");
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--reconnect"),
+        stderr(&out).contains("--reconnect"),
         "stderr must point at the missing flag"
     );
 
     // --resume with --attach is contradictory.
-    let out = fastmm_cmd()
-        .args([
-            "fleet",
-            "--resume",
-            "/nonexistent/journal.jsonl",
-            "--attach",
-            "127.0.0.1:1",
-        ])
-        .output()
-        .expect("run fleet");
+    let out = fastmm(&[
+        "fleet",
+        "--resume",
+        "/nonexistent/journal.jsonl",
+        "--attach",
+        "127.0.0.1:1",
+    ]);
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -351,9 +301,6 @@ fn loadgen_rejects_inconsistent_chaos_flags_with_exit_2() {
 
     // --resume on a journal that doesn't exist fails loudly, not silently
     // starting an empty fleet.
-    let out = fastmm_cmd()
-        .args(["fleet", "--resume", "/nonexistent/journal.jsonl"])
-        .output()
-        .expect("run fleet");
+    let out = fastmm(&["fleet", "--resume", "/nonexistent/journal.jsonl"]);
     assert_eq!(out.status.code(), Some(2), "missing journal must exit 2");
 }

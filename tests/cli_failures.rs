@@ -6,41 +6,9 @@
 //! error on stderr — never a panic backtrace — and the fault-injection
 //! commands report recovered products plus deterministic counters.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+mod common;
 
-fn fastmm(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fastmm"))
-        .args(args)
-        .output()
-        .expect("spawn fastmm")
-}
-
-fn stderr(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-fn stdout(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-/// A scratch path that does not survive the test.
-fn scratch(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("fastmm_cli_{}_{name}", std::process::id()));
-    p
-}
-
-#[track_caller]
-fn assert_exit_2_clean(out: &Output) {
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(out));
-    let err = stderr(out);
-    assert!(
-        !err.contains("panicked"),
-        "expected a clean error, got a panic:\n{err}"
-    );
-    assert!(!err.trim().is_empty(), "exit 2 must explain itself");
-}
+use common::{assert_exit_2_clean, fastmm, scratch, stderr, stdout};
 
 #[test]
 fn unknown_flag_exits_2() {
@@ -157,6 +125,44 @@ fn faults_recovers_product_and_is_deterministic() {
     // Identical invocation, identical counters — byte for byte.
     let b = fastmm(&args);
     assert_eq!(stdout(&b), text, "same seed must reproduce the same run");
+
+    // Every schedule recovers the exact product under seeded faults.
+    for schedule in ["cannon", "3d", "caps", "cannon-threaded"] {
+        let out = fastmm(&[
+            "faults",
+            "--schedule",
+            schedule,
+            "--spec",
+            "seed=7,crash=0.05,drop=0.02,dup=0.01,retries=8",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{schedule}: {}", stderr(&out));
+        assert!(
+            stdout(&out).contains("matches fault-free run"),
+            "{schedule}: {}",
+            stdout(&out)
+        );
+    }
+
+    // So does checkpoint recovery from a forced crash late in the run.
+    let out = fastmm(&[
+        "faults",
+        "--schedule",
+        "cannon",
+        "--n",
+        "16",
+        "--p",
+        "4",
+        "--spec",
+        "seed=7,crash@5:3",
+        "--recovery",
+        "checkpoint:1",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("matches fault-free run"),
+        "{}",
+        stdout(&out)
+    );
 }
 
 #[test]
@@ -260,5 +266,66 @@ fn sweep_injected_hang_times_out_and_sweep_continues() {
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("1 timed out"), "{}", stdout(&out));
-    let _ = std::fs::remove_file(&out_path);
+
+    // A crash mid-append tears the last line. Resume repairs the file and
+    // re-runs the torn cell, the timed-out cell and the rest.
+    let hang = out_path.to_str().unwrap();
+    let text = std::fs::read(&out_path).expect("checkpoint written");
+    std::fs::write(&out_path, &text[..text.len() - 7]).expect("tear last line");
+    let resume = |path: &str| fastmm(&["sweep", "resume", "--spec", "smoke", "--out", path]);
+    let out = resume(hang);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("0 remaining"), "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains("torn trailing record"),
+        "{}",
+        stderr(&out)
+    );
+
+    // `sweep report` strictly re-parses every line of the repaired file.
+    let text = std::fs::read_to_string(&out_path).expect("checkpoint readable");
+    assert!(text.contains("\"schema\":\"fmm-sweep/v1\""), "{text}");
+    let bench = scratch("sweep_bench.json");
+    let out = fastmm(&[
+        "sweep",
+        "report",
+        "--file",
+        hang,
+        "--bench",
+        bench.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("bench summary written to"));
+
+    // An interrupted clean run resumes by executing only the remainder.
+    let clean_path = scratch("clean.jsonl");
+    let clean = clean_path.to_str().unwrap();
+    let _ = std::fs::remove_file(&clean_path);
+    let out = fastmm(&[
+        "sweep",
+        "run",
+        "--spec",
+        "smoke",
+        "--out",
+        clean,
+        "--max-cells",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let out = resume(clean);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("2 skipped, 0 remaining"),
+        "{}",
+        stdout(&out)
+    );
+
+    // Same seed: the repaired and the clean run agree cell for cell.
+    let out = fastmm(&["sweep", "diff", "--base", hang, "--cand", clean]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert!(stdout(&out).contains("no regressions"), "{}", stdout(&out));
+
+    for p in [&out_path, &bench, &clean_path] {
+        let _ = std::fs::remove_file(p);
+    }
 }

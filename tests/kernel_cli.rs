@@ -12,34 +12,10 @@
 //! FMM_BLESS=1 cargo test --test kernel_cli
 //! ```
 
+mod common;
+
+use common::{assert_exit_2_clean, fastmm, stderr, stdout};
 use std::path::Path;
-use std::process::{Command, Output};
-
-fn fastmm(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fastmm"))
-        .args(args)
-        .output()
-        .expect("spawn fastmm")
-}
-
-fn stdout(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-fn stderr(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-#[track_caller]
-fn assert_exit_2_clean(out: &Output) {
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(out));
-    let err = stderr(out);
-    assert!(
-        !err.contains("panicked"),
-        "expected a clean error, got a panic:\n{err}"
-    );
-    assert!(!err.trim().is_empty(), "exit 2 must explain itself");
-}
 
 /// Blank out the three wall-clock-dependent values; everything else in
 /// the report (tile counts, recursion shape, flops, the check verdict)
@@ -117,7 +93,16 @@ fn check_passes_for_both_algs_and_dtypes() {
 #[test]
 fn threads_flag_changes_nothing_about_the_product() {
     let out = fastmm(&[
-        "kernel", "--alg", "classical", "--n", "70", "--threads", "3", "--dtype", "i64", "--check",
+        "kernel",
+        "--alg",
+        "classical",
+        "--n",
+        "70",
+        "--threads",
+        "3",
+        "--dtype",
+        "i64",
+        "--check",
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("product matches naive reference"));
@@ -164,5 +149,8 @@ fn unknown_flag_exits_2_and_lists_the_valid_ones() {
     assert_exit_2_clean(&out);
     let err = stderr(&out);
     assert!(err.contains("unknown flag '--cutof'"), "{err}");
-    assert!(err.contains("--cutoff"), "should list the valid flags: {err}");
+    assert!(
+        err.contains("--cutoff"),
+        "should list the valid flags: {err}"
+    );
 }

@@ -1,15 +1,13 @@
 //! Binary-level contract for `fastmm serve` + `fastmm loadgen`: the two
-//! subcommands must compose from the shell exactly the way the CI
-//! serve-smoke job uses them — ephemeral port printed on stdout, seeded
-//! loadgen summary on one line, graceful shutdown with balanced counters
-//! and exit code 0, and flushed `serve_*` metrics in the JSONL file.
+//! subcommands must compose from the shell — ephemeral port printed on
+//! stdout, seeded loadgen summary on one line, graceful shutdown with
+//! balanced counters and exit code 0, flushed `serve_*` metrics and span
+//! trees in the JSONL file, and the same summary for the same seed.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+mod common;
 
-fn fastmm_cmd() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_fastmm"))
-}
+use common::{fastmm, fastmm_cmd, read_banner, scratch, stdout};
+use std::process::{Child, Stdio};
 
 /// Start `fastmm serve`, parse the advertised ephemeral address off its
 /// first stdout line, and hand back (child, addr).
@@ -21,45 +19,35 @@ fn spawn_server(extra: &[&str]) -> (Child, String) {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn fastmm serve");
-    let mut first = String::new();
-    BufReader::new(child.stdout.as_mut().expect("stdout piped"))
-        .read_line(&mut first)
-        .expect("read listening line");
-    let addr = first
-        .trim()
-        .strip_prefix("fastmm serve listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {first:?}"))
-        .to_string();
+    let addr = read_banner(&mut child);
     (child, addr)
+}
+
+/// The seeded 2x40 chaos run with a 48-job burst, ending in `--shutdown`.
+fn burst_loadgen(addr: &str) -> std::process::Output {
+    fastmm(&[
+        "loadgen",
+        "--addr",
+        addr,
+        "--conns",
+        "2",
+        "--requests",
+        "40",
+        "--seed",
+        "7",
+        "--burst",
+        "48",
+        "--shutdown",
+    ])
 }
 
 #[test]
 fn serve_and_loadgen_compose_from_the_shell() {
-    let metrics = {
-        let mut p = std::env::temp_dir();
-        p.push(format!("fastmm_serve_cli_{}.jsonl", std::process::id()));
-        p
-    };
+    let metrics = scratch("serve_metrics.jsonl");
     let _ = std::fs::remove_file(&metrics);
     let (mut server, addr) = spawn_server(&["--metrics", metrics.to_str().unwrap()]);
 
-    let load = fastmm_cmd()
-        .args([
-            "loadgen",
-            "--addr",
-            &addr,
-            "--conns",
-            "2",
-            "--requests",
-            "40",
-            "--seed",
-            "7",
-            "--burst",
-            "48",
-            "--shutdown",
-        ])
-        .output()
-        .expect("run fastmm loadgen");
+    let load = burst_loadgen(&addr);
     let summary = String::from_utf8_lossy(&load.stdout);
     assert_eq!(
         load.status.code(),
@@ -97,7 +85,31 @@ fn serve_and_loadgen_compose_from_the_shell() {
     ] {
         assert!(flushed.contains(key), "metrics missing {key}:\n{flushed}");
     }
+
+    // Every job's span tree reconstructs from the same file.
+    let traces = fastmm(&[
+        "report",
+        "--traces",
+        metrics.to_str().unwrap(),
+        "--top",
+        "5",
+    ]);
+    assert_eq!(traces.status.code(), Some(0), "report --traces failed");
+    let traces = stdout(&traces);
+    assert!(traces.contains("slowest traces (top 5 of"), "{traces}");
+    assert!(traces.contains("job."), "no job.<kind> spans:\n{traces}");
     let _ = std::fs::remove_file(&metrics);
+
+    // Same seed, fresh server: the summary line reproduces exactly.
+    let (mut server2, addr2) = spawn_server(&[]);
+    let load2 = burst_loadgen(&addr2);
+    assert_eq!(load2.status.code(), Some(0));
+    assert_eq!(
+        stdout(&load2).trim(),
+        line,
+        "serve loadgen summary must be seed-reproducible"
+    );
+    assert_eq!(server2.wait().expect("server2 exits").code(), Some(0));
 }
 
 #[test]
@@ -107,17 +119,14 @@ fn loadgen_exits_nonzero_when_the_server_vanishes() {
     let (mut server, addr) = spawn_server(&[]);
     server.kill().expect("kill server");
     server.wait().expect("reap server");
-    let load = fastmm_cmd()
-        .args([
-            "loadgen",
-            "--addr",
-            &addr,
-            "--conns",
-            "1",
-            "--requests",
-            "5",
-        ])
-        .output()
-        .expect("run fastmm loadgen");
+    let load = fastmm(&[
+        "loadgen",
+        "--addr",
+        &addr,
+        "--conns",
+        "1",
+        "--requests",
+        "5",
+    ]);
     assert_ne!(load.status.code(), Some(0), "lost replies must fail loudly");
 }
